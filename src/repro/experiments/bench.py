@@ -26,10 +26,9 @@ centers:
 
 Three targeted measurements ride along: the parallel-over-serial
 speedup of the trial runner on this machine, a per-conversation
-micro-benchmark of the optimized exchange session against a reference
-implementation of the original sort-the-key-union exchange, and the
-overhead of the delivery-span stream (:mod:`repro.obs.spans`) measured
-as identical seeded epidemics with the event bus silent vs consumed.
+micro-benchmark of the exchange session, and the overhead of the
+delivery-span stream (:mod:`repro.obs.spans`) measured as identical
+seeded epidemics with the event bus silent vs consumed.
 
 ``--quick`` shrinks every scenario for CI smoke runs;
 ``--compare BASELINE.json`` fails (exit 1) when any scenario regresses
@@ -92,12 +91,10 @@ def _timed(fn: Callable[[], Tuple[int, Dict[str, Any]]]) -> Tuple[float, int, Di
 def _bench_table1(quick: bool, runner: TrialRunner) -> ScenarioTiming:
     """Table 1 regeneration through the batched trial core.
 
-    The table runs ``passes`` times: the first pass pays the one-off
-    per-seed RNG stream derivation, later passes replay the cached raw
-    words (:mod:`repro.sim.batch`), which is the steady-state cost of
-    any sweep that revisits its seeds (confidence intervals, parameter
-    studies, the golden tests).  Both pass timings land in the detail
-    so the split stays visible.
+    The table runs ``passes`` times over the same seeds.  Every pass is
+    cold (:mod:`repro.sim.batch` seeds each site's stream afresh), so
+    later passes only repeat the first; the first and best pass timings
+    land in the detail as a run-to-run spread.
     """
     from repro.sim.arrays import get_backend
     from repro.experiments.tables import table1
@@ -131,9 +128,9 @@ def _bench_table1(quick: bool, runner: TrialRunner) -> ScenarioTiming:
 def _bench_anti_entropy(quick: bool) -> ScenarioTiming:
     """Push-pull anti-entropy epidemics through the batched core.
 
-    ``runs`` epidemics on the same seed: run 0 is the cold cost (RNG
-    stream derivation included), the rest replay cached words — the
-    cost any repeated study pays.  Both land in the detail.
+    ``runs`` epidemics on the same seed, each one cold (RNG stream
+    derivation included); the first and best run timings land in the
+    detail as a run-to-run spread.
     """
     from repro.sim.arrays import get_backend
     from repro.experiments.tables import run_anti_entropy_trial
@@ -167,8 +164,8 @@ def _bench_anti_entropy(quick: bool) -> ScenarioTiming:
 
 
 def _bench_rumor(quick: bool) -> ScenarioTiming:
-    """Rumor-mongering epidemics through the batched core (cold + warm
-    split recorded as in the anti-entropy scenario)."""
+    """Rumor-mongering epidemics through the batched core (cold
+    repeats, recorded as in the anti-entropy scenario)."""
     from repro.sim.arrays import get_backend
     from repro.experiments.tables import run_rumor_trial
     from repro.protocols.base import ExchangeMode
@@ -431,37 +428,8 @@ def _exchange_stores(entries: int, delta: int = 8):
     return a, b
 
 
-def _legacy_resolve(a, b, mode) -> None:
-    """Reference implementation of the pre-optimization exchange.
-
-    Kept verbatim for the benchmark's before/after comparison: offer
-    sorted by ``repr`` of the key, both tables materialized as dicts,
-    and the key union sorted again on the responder.
-    """
-    from repro.core.store import StoreUpdate
-    from repro.protocols.base import entry_beats
-
-    offered = [
-        StoreUpdate(key=key, entry=entry)
-        for key, entry in sorted(a.entries(), key=lambda kv: repr(kv[0]))
-    ]
-    theirs = {update.key: update.entry for update in offered}
-    ours = dict(b.entries())
-    keys = theirs.keys() | ours.keys()
-    send_back = []
-    for key in sorted(keys, key=repr):
-        remote = theirs.get(key)
-        local = ours.get(key)
-        if mode.pushes and entry_beats(remote, local):
-            b.apply_entry(key, remote)
-        elif mode.pulls and entry_beats(local, remote):
-            send_back.append(StoreUpdate(key=key, entry=local))
-    for update in send_back:
-        a.apply_update(update)
-
-
 def measure_exchange_hot_path(quick: bool) -> Dict[str, Any]:
-    """Per-conversation cost: optimized exchange vs the legacy reference.
+    """Per-conversation cost of the exchange session.
 
     Every conversation gets a fresh store pair (built outside the timed
     window) because the exchange mutates both sides.
@@ -472,13 +440,8 @@ def measure_exchange_hot_path(quick: bool) -> Dict[str, Any]:
     entries = 400 if quick else 1500
     conversations = 10 if quick else 30
     mode = ExchangeMode.PUSH_PULL
-    legacy_s = 0.0
     optimized_s = 0.0
     for __ in range(conversations):
-        a, b = _exchange_stores(entries)
-        start = time.perf_counter()
-        _legacy_resolve(a, b, mode)
-        legacy_s += time.perf_counter() - start
         a, b = _exchange_stores(entries)
         start = time.perf_counter()
         resolve_difference(a, b, mode)
@@ -486,9 +449,7 @@ def measure_exchange_hot_path(quick: bool) -> Dict[str, Any]:
     return {
         "entries": entries,
         "conversations": conversations,
-        "legacy_s_per_conversation": round(legacy_s / conversations, 6),
         "optimized_s_per_conversation": round(optimized_s / conversations, 6),
-        "speedup": round(legacy_s / optimized_s, 3) if optimized_s > 0 else 0.0,
     }
 
 
@@ -728,10 +689,8 @@ def summary_lines(report: Dict[str, Any]) -> List[str]:
         )
     exchange = report["exchange_hot_path"]
     lines.append(
-        f"  exchange hot path: {exchange['speedup']:g}x per conversation "
-        f"(legacy {exchange['legacy_s_per_conversation']}s, "
-        f"optimized {exchange['optimized_s_per_conversation']}s, "
-        f"{exchange['entries']} entries)"
+        f"  exchange hot path: {exchange['optimized_s_per_conversation']}s "
+        f"per conversation ({exchange['entries']} entries)"
     )
     store_put = report.get("store_put")
     if store_put:  # older reports predate the store-write measurement

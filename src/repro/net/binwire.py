@@ -23,11 +23,9 @@ arbitrary-precision ints.
 The packer/unpacker here is a self-contained pure-python implementation
 of the MessagePack subset the payloads need (nil, bool, int, float,
 str, bytes, array, map, ext).  When the real ``msgpack`` library is
-importable — it is optional, exactly like numpy for the batched
-simulator core — it is used for the heavy lifting instead; set
-``REPRO_PURE_PYTHON=1`` (:mod:`repro.sim.arrays`) to force the pure
-path.  Both produce spec-valid MessagePack and accept each other's
-output.
+importable — it is optional — it is used for the heavy lifting
+instead; set ``REPRO_PURE_PYTHON=1`` to force the pure path.  Both
+produce spec-valid MessagePack and accept each other's output.
 
 Encoding reuses one per-encoder ``bytearray`` so hot frames (PUSH
 offers, RUMOR batches, MAIL, TREE frontiers) do not reallocate a
@@ -37,10 +35,13 @@ use instead of corrupting the shared one.
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Any, List, Tuple
 
-from repro.sim.arrays import pure_python_forced
+#: Environment variable forcing the pure-python codec even when
+#: ``msgpack`` is installed.
+FORCE_PURE_ENV = "REPRO_PURE_PYTHON"
 
 #: The first body byte of every v4 binary frame.
 BINARY_MAGIC = 0xC1
@@ -72,6 +73,10 @@ def msgpack_available() -> bool:
     except ImportError:
         return False
     return True
+
+
+def pure_python_forced() -> bool:
+    return os.environ.get(FORCE_PURE_ENV, "").strip() not in ("", "0")
 
 
 def _use_msgpack() -> bool:

@@ -10,10 +10,14 @@ event-bus guards, protocol dispatch — none of which can affect the
 metrics of that trial shape.
 
 This module runs the same epidemics over dense integer site indices
-and flat per-site state arrays instead.  Population-wide bookkeeping
-(completing partner draws, susceptible/infective set updates) goes
-through the vector backend (:mod:`repro.sim.arrays`): numpy when
-available, plain lists otherwise, with identical results either way.
+and flat per-site state arrays instead, in pure python: per-site flags
+in a ``bytearray``, the rumor cycle's population-wide bookkeeping
+through the list primitives of :mod:`repro.sim.arrays`, and each
+anti-entropy cycle as a single pass over the sites.  Nothing is
+memoized across trials: each site's generator is seeded the first time
+it draws, so a sweep over distinct seeds and a repeat of one seed cost
+the same.  On a 2-CPU x86-64 box a cold n=1000 push-pull anti-entropy
+trial takes about 8.5 ms (see ``docs/performance.md``).
 
 **Bit-for-bit identity is the contract.**  Every random draw is taken
 from the same per-site ``random.Random`` streams the cluster would
@@ -33,9 +37,6 @@ model.  The table and bench trial functions dispatch here through
 
 from __future__ import annotations
 
-import os
-import struct
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 try:  # the C core type seeds once; random.Random(seed) seeds twice
@@ -48,124 +49,41 @@ from repro.sim.metrics import EpidemicMetrics
 from repro.sim.rng import SiteSeeder
 from repro.sim.transport import hunt_for_partner
 
-#: Set to ``0`` to disable the per-process word-replay cache.
-TRIAL_CACHE_ENV = "REPRO_TRIAL_CACHE"
 
-# Replaying a trial with a master seed seen before (golden tests, bench
-# repetitions, bisection) skips Mersenne-Twister seeding entirely: the
-# raw 32-bit words each site consumed are a pure function of
-# (master_seed, site_id, draw index), so they are memoized per process.
-# Seeding is the dominant per-trial cost (~6us per participating site),
-# so replays run several times faster than first runs.
-_WORD_CACHE: "OrderedDict[int, Dict[int, List[int]]]" = OrderedDict()
-# Large enough to hold a whole table sweep (25 seeds for Tables 1-2);
-# one seed's words for a 1000-site trial weigh roughly half a megabyte.
-_WORD_CACHE_SEEDS = 32
+def _randbelow(rng, n: int, bits: int) -> int:
+    """``random.Random._randbelow(n)`` on a core generator.
 
-_TWO53_INV = 1.0 / 9007199254740992.0  # 2**-53, the CPython random() scale
-_UNPACK_BLOCK = struct.Struct("<16I").unpack  # one 16-word refill block
-
-
-def clear_word_cache() -> None:
-    _WORD_CACHE.clear()
-
-
-def _seed_bucket(master_seed: int) -> Optional[Dict[int, List[int]]]:
-    """The word-list store for one master seed (None if caching is off)."""
-    if os.environ.get(TRIAL_CACHE_ENV, "").strip() == "0":
-        return None
-    bucket = _WORD_CACHE.get(master_seed)
-    if bucket is None:
-        bucket = _WORD_CACHE[master_seed] = {}
-        while len(_WORD_CACHE) > _WORD_CACHE_SEEDS:
-            _WORD_CACHE.popitem(last=False)
-    else:
-        _WORD_CACHE.move_to_end(master_seed)
-    return bucket
-
-
-class SiteDraws:
-    """One site's random stream, drawn as raw 32-bit words.
-
-    CPython's ``random.Random`` builds every draw from 32-bit outputs of
-    the Mersenne Twister: ``getrandbits(32)`` is one word,
-    ``_randbelow(n)`` is the top ``n.bit_length()`` bits of a word with
-    rejection, ``random()`` combines the top 27 and 26 bits of two
-    words.  Reproducing those constructions here keeps draws bit-equal
-    to the site streams the reference engine hands out
-    (``RngRegistry.site_stream``) while letting consumed words be
-    recorded into — and replayed from — the per-seed word cache without
-    touching the underlying generator again.
+    ``bits`` is ``n.bit_length()``.  ``getrandbits(k)`` for ``k <= 32``
+    is the top ``k`` bits of one Mersenne-Twister output, and
+    ``_randbelow`` rejects and redraws exactly like this loop, so each
+    draw is bit-equal to the ``randrange`` the reference engine's
+    selectors make on the same site stream.
     """
-
-    __slots__ = ("seeder", "site", "words", "pos", "rng")
-
-    def __init__(self, seeder: SiteSeeder, site: int, words: Optional[List[int]]):
-        self.seeder = seeder
-        self.site = site
-        self.words = [] if words is None else words
-        self.pos = 0
-        self.rng = None
-
-    def _refill(self) -> None:
-        """Extend the word list by one generator block (cache miss).
-
-        ``getrandbits(32 * k)`` packs ``k`` successive 32-bit outputs
-        least-significant first, so a whole block costs one C call both
-        to skip the already-cached prefix and to produce new words.
-        """
-        rng = self.rng
-        if rng is None:
-            rng = self.rng = _CoreRandom(self.seeder.seed(self.site))
-            consumed = len(self.words)
-            if consumed:  # replayed from cache; advance past the prefix
-                rng.getrandbits(32 * consumed)
-        self.words.extend(_UNPACK_BLOCK(rng.getrandbits(512).to_bytes(64, "little")))
-
-    def randbelow(self, n: int, shift: int) -> int:
-        """``Random._randbelow(n)``; ``shift`` is ``32 - n.bit_length()``."""
-        words = self.words
-        pos = self.pos
-        while True:
-            if pos >= len(words):
-                self.pos = pos
-                self._refill()
-            value = words[pos] >> shift
-            pos += 1
-            if value < n:
-                self.pos = pos
-                return value
-
-    def random(self) -> float:
-        """``Random.random()``: 53 bits from two words."""
-        pos = self.pos
-        words = self.words
-        if pos + 2 > len(words):
-            self.pos = pos
-            self._refill()
-        a = words[pos]
-        b = words[pos + 1]
-        self.pos = pos + 2
-        return ((a >> 5) * 67108864.0 + (b >> 6)) * _TWO53_INV
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
 
 
 class _TrialDraws:
-    """Lazy per-site :class:`SiteDraws` for one trial."""
+    """Each site's random stream for one trial, seeded on first use.
 
-    __slots__ = ("seeder", "bucket", "sites")
+    Site ``i`` gets the generator ``RngRegistry.site_stream`` would hand
+    the reference engine (seeded with :func:`repro.sim.rng.site_seed`),
+    so only sites that actually draw pay for seeding.
+    """
+
+    __slots__ = ("seeder", "sites")
 
     def __init__(self, master_seed: int, n: int):
         self.seeder = SiteSeeder(master_seed)
-        self.bucket = _seed_bucket(master_seed)
-        self.sites: List[Optional[SiteDraws]] = [None] * n
+        self.sites: List[Optional[_CoreRandom]] = [None] * n
 
-    def site(self, i: int) -> SiteDraws:
-        sd = self.sites[i]
-        if sd is None:
-            bucket = self.bucket
-            words = None if bucket is None else bucket.setdefault(i, [])
-            sd = self.sites[i] = SiteDraws(self.seeder, i, words)
-        return sd
+    def site(self, i: int) -> _CoreRandom:
+        rng = self.sites[i]
+        if rng is None:
+            rng = self.sites[i] = _CoreRandom(self.seeder.seed(i))
+        return rng
 
 
 def _complete(max_cycles: int) -> RuntimeError:
@@ -219,7 +137,7 @@ def rumor_trial(
     get_site = draws.site
     backend = get_backend()
     n1 = n - 1
-    shift = 32 - n1.bit_length()
+    bits = n1.bit_length()
     update_sends = 0
     comparisons = 0
     rejections = 0
@@ -244,7 +162,7 @@ def rumor_trial(
 
         if fast_push:
             picks = [
-                (sites[s] or get_site(s)).randbelow(n1, shift) for s in snap_sites
+                _randbelow(sites[s] or get_site(s), n1, bits) for s in snap_sites
             ]
             partners = backend.adjusted_partners_at(picks, snap_sites)
             news = backend.push_news(partners, backend.snapshot(infected))
@@ -298,12 +216,12 @@ def rumor_trial(
         else:
             # pull and push-pull: every site solicits each cycle.  With
             # no connection limit the whole population's partner draws
-            # complete in one vectorized pass.
+            # complete in one pass.
             initiators = range(n)
             if unlimited:
                 partners = backend.adjusted_partners(
                     [
-                        (sites[s] or get_site(s)).randbelow(n1, shift)
+                        _randbelow(sites[s] or get_site(s), n1, bits)
                         for s in initiators
                     ]
                 )
@@ -315,18 +233,13 @@ def rumor_trial(
             if partners is not None:
                 p = partners[s]
             elif unlimited:
-                sd = sites[s]
-                if sd is None:
-                    sd = get_site(s)
-                pick = sd.randbelow(n1, shift)
+                pick = _randbelow(sites[s] or get_site(s), n1, bits)
                 p = pick + 1 if pick >= s else pick
             else:
-                sd = sites[s]
-                if sd is None:
-                    sd = get_site(s)
+                rng = sites[s] or get_site(s)
 
-                def draw(sd=sd, s=s):
-                    pick = sd.randbelow(n1, shift)
+                def draw(rng=rng, s=s):
+                    pick = _randbelow(rng, n1, bits)
                     return pick + 1 if pick >= s else pick
 
                 p = hunt_for_partner(draw, accepted, limit, attempts)
@@ -389,10 +302,7 @@ def rumor_trial(
                     else:
                         hot[s] = c
                 else:
-                    sd = sites[s]
-                    if sd is None:
-                        sd = get_site(s)
-                    if sd.random() < coin_p:
+                    if (sites[s] or get_site(s)).random() < coin_p:
                         del hot[s]
                 continue
             e = ev.get(s)
@@ -419,11 +329,9 @@ def rumor_trial(
                     else:
                         hot[s] = c
             else:
-                sd = sites[s]
-                if sd is None:
-                    sd = get_site(s)
+                rng = sites[s] or get_site(s)
                 for __ in range(e[1]):
-                    if sd.random() < coin_p:
+                    if rng.random() < coin_p:
                         del hot[s]
                         break
 
@@ -445,13 +353,15 @@ def anti_entropy_trial(
 ) -> EpidemicMetrics:
     """One synchronous anti-entropy epidemic run to completion, batched.
 
-    Every up site initiates one exchange per period cycle; transmission
-    decisions are made on start-of-cycle state (the paper's synchronous
-    model), so each cycle's susceptible/infective update vectorizes
-    fully: one partner draw per site, then set arithmetic over the
-    whole population through the vector backend.  Bit-identical to the
-    cluster run :func:`repro.experiments.tables.run_anti_entropy_trial`
-    performs with ``engine="reference"``.
+    Every up site initiates one exchange per period cycle, and every
+    transmission decision reads the start-of-cycle snapshot (the
+    paper's synchronous model).  A cycle is therefore one pass over the
+    sites in ascending order: draw the partner, then compare the two
+    snapshot flags — equal flags transfer nothing, an infected
+    initiator pushes, an infected partner is pulled from.
+    Bit-identical to the cluster run
+    :func:`repro.experiments.tables.run_anti_entropy_trial` performs
+    with ``engine="reference"``.
     """
     if n < 2:
         raise ValueError("need at least two sites")
@@ -466,10 +376,8 @@ def anti_entropy_trial(
 
     draws = _TrialDraws(seed, n)
     all_sites = [draws.site(i) for i in range(n)]
-    backend = get_backend()
     n1 = n - 1
-    shift = 32 - n1.bit_length()
-    own_ids = list(range(n))
+    bits = n1.bit_length()
     update_sends = 0
     comparisons = 0
     cycle = 0
@@ -481,27 +389,28 @@ def anti_entropy_trial(
         if (cycle - offset) % period != 0:
             continue
         cycle_f = float(cycle)
-
-        partners = backend.adjusted_partners(
-            [sd.randbelow(n1, shift) for sd in all_sites]
-        )
-        h = backend.snapshot(infected)
-        hp = backend.take(h, partners)
         comparisons += n
-        if pushes:
-            mask = backend.and_not(h, hp)
-            update_sends += backend.count(mask)
-            for site in backend.compress(partners, mask):
-                if not infected[site]:
-                    infected[site] = 1
-                    receipts[site] = cycle_f
-        if pulls:
-            mask = backend.and_not(hp, h)
-            update_sends += backend.count(mask)
-            for site in backend.compress(own_ids, mask):
-                if not infected[site]:
-                    infected[site] = 1
-                    receipts[site] = cycle_f
+        h = bytes(infected)
+        for s, rng in enumerate(all_sites):
+            # _randbelow and uniform_partner_index, inlined: this body
+            # runs once per site per cycle.
+            pick = rng.getrandbits(bits)
+            while pick >= n1:
+                pick = rng.getrandbits(bits)
+            p = pick + 1 if pick >= s else pick
+            if h[s] == h[p]:
+                continue
+            if h[s]:
+                if pushes:
+                    update_sends += 1
+                    if not infected[p]:
+                        infected[p] = 1
+                        receipts[p] = cycle_f
+            elif pulls:
+                update_sends += 1
+                if not infected[s]:
+                    infected[s] = 1
+                    receipts[s] = cycle_f
 
     metrics.update_sends = update_sends
     metrics.comparisons = comparisons

@@ -18,9 +18,8 @@ The pieces, bottom-up:
 * :mod:`repro.workload.live` — the live-runtime load generator
   (imported lazily here: it pulls in asyncio networking).
 
-``repro.experiments.workloads`` remains as a compatibility shim
-re-exporting :class:`WorkloadConfig` / :class:`WorkloadDriver` plus the
-Section 1.3 tau study built on them.
+``repro.experiments.workloads`` holds the Section 1.3 tau study built
+on :class:`WorkloadConfig` / :class:`WorkloadDriver`.
 """
 
 from repro.workload.driver import WorkloadDriver

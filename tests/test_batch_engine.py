@@ -5,8 +5,8 @@ same epidemics as the event-driven :class:`~repro.cluster.cluster.Cluster`
 path — same per-site RNG streams, same draw order, same metrics.  These
 tests hold that promise across the Table 1-3 configurations, the rumor
 variants (push-pull, minimization, blind/coin, pull footnote semantics,
-connection limits with hunting), both anti-entropy directions, and both
-array backends, over a seed sweep.
+connection limits with hunting) and both anti-entropy directions, over
+a seed sweep.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.experiments.tables import run_anti_entropy_trial, run_rumor_trial
 from repro.protocols.base import ExchangeMode
 from repro.protocols.rumor import RumorConfig
 from repro.sim import batch
-from repro.sim.arrays import FORCE_PURE_ENV, PythonBackend, get_backend
 from repro.sim.rng import SiteSeeder, site_seed
 from repro.sim.transport import ConnectionPolicy
 
@@ -83,13 +82,19 @@ def test_rumor_golden(name, seed):
     assert _fingerprint(batched) == _fingerprint(reference)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+# n=1000 is the trial size the repository benchmark runs.
+AE_SIZES = [pytest.param(seed, N, id=str(seed)) for seed in SEEDS] + [
+    pytest.param(seed, 1000, id=f"{seed}-n1000") for seed in SEEDS
+]
+
+
+@pytest.mark.parametrize("seed, n", AE_SIZES)
 @pytest.mark.parametrize(
     "mode", (ExchangeMode.PUSH, ExchangeMode.PULL, ExchangeMode.PUSH_PULL)
 )
-def test_anti_entropy_golden(mode, seed):
-    reference = run_anti_entropy_trial(N, mode, seed=seed, engine="reference")
-    batched = run_anti_entropy_trial(N, mode, seed=seed, engine="batched")
+def test_anti_entropy_golden(mode, seed, n):
+    reference = run_anti_entropy_trial(n, mode, seed=seed, engine="reference")
+    batched = run_anti_entropy_trial(n, mode, seed=seed, engine="batched")
     assert _fingerprint(batched) == _fingerprint(reference)
 
 
@@ -99,29 +104,6 @@ def test_anti_entropy_period_offset_golden():
     )
     batched = batch.anti_entropy_trial(N, ExchangeMode.PUSH_PULL, 5)
     assert _fingerprint(batched) == _fingerprint(reference)
-
-
-def test_pure_python_backend_matches_numpy(monkeypatch):
-    """The fallback backend runs the same batched code path, same bits."""
-    config = CONFIGS["pushpull"]
-    default = _fingerprint(run_rumor_trial(N, config, 3, engine="batched"))
-    monkeypatch.setenv(FORCE_PURE_ENV, "1")
-    assert get_backend() is PythonBackend
-    forced = _fingerprint(run_rumor_trial(N, config, 3, engine="batched"))
-    assert forced == default
-
-
-def test_word_cache_replay_matches_fresh(monkeypatch):
-    """A trial replayed from the word cache equals a cache-cold trial."""
-    config = CONFIGS["t1-push-fb-counter"]
-    monkeypatch.setenv(batch.TRIAL_CACHE_ENV, "0")
-    cold = _fingerprint(batch.rumor_trial(N, config, 11))
-    monkeypatch.delenv(batch.TRIAL_CACHE_ENV)
-    batch.clear_word_cache()
-    first = _fingerprint(batch.rumor_trial(N, config, 11))   # fills the cache
-    warm = _fingerprint(batch.rumor_trial(N, config, 11))    # replays it
-    assert first == cold
-    assert warm == cold
 
 
 def test_site_seeder_matches_site_seed():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.net import binwire
 from repro.net.binwire import (
     BINARY_MAGIC,
+    FORCE_PURE_ENV,
     BinWireError,
     FrameEncoder,
     decode_binary_body,
@@ -33,7 +34,6 @@ from repro.net.wire import (
     decode_body,
     encode_message,
 )
-from repro.sim.arrays import FORCE_PURE_ENV
 
 # JSON-compatible scalars plus the binary-only extras (bytes, big ints).
 SCALARS = st.one_of(
