@@ -53,7 +53,8 @@ def test_q_distribution_adapts_to_dimension(benchmark, bench_runs):
                 ("d^-2", DistancePowerSelector(distances, a=2.0)),
                 ("1/Q^2", QPowerSelector(distances, a=2.0)),
             ):
-                t_last, traffic = _measure(topo, selector, runs, seed=hash((name, label)) % 10_000)
+                seed = derive_seed(0, "q-adaptation", name, label)
+                t_last, traffic = _measure(topo, selector, runs, seed=seed)
                 rows.append((name, label, t_last, traffic))
         return rows
 

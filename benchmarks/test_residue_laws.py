@@ -22,6 +22,7 @@ from repro.experiments.tables import run_rumor_trial
 from repro.protocols.base import ExchangeMode
 from repro.protocols.rumor import RumorConfig
 from repro.sim.metrics import mean
+from repro.sim.rng import derive_seed
 from repro.sim.transport import ConnectionPolicy
 
 
@@ -74,7 +75,7 @@ def test_push_traffic_law(benchmark, bench_n, bench_runs):
         rows = []
         for label, config in variants:
             residue, traffic = _average_run(
-                bench_n, config, bench_runs, hash(label) % 1000
+                bench_n, config, bench_runs, derive_seed(0, "push-traffic-law", label)
             )
             rows.append((label, residue, traffic, residue_from_traffic(traffic)))
         return rows

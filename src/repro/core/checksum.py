@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+from json.encoder import encode_basestring
 from typing import Callable, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 DIGEST_BITS = 128
@@ -56,10 +57,18 @@ def encode_key(key: Hashable) -> bytes:
     of those (tuples encode as JSON arrays; lists are unhashable, so the
     encoding stays injective over valid keys).
 
+    A ``str`` key — the common case — goes straight to
+    ``json.encoder.encode_basestring``, the function ``json.dumps(key,
+    ensure_ascii=False)`` itself calls for a string, without building an
+    encoder per key; the bytes are the same.
+
     Raises :class:`ValueError` for keys with no canonical encoding
-    (e.g. arbitrary objects, whose default repr embeds ``id()``).
+    (e.g. arbitrary objects, whose default repr embeds ``id()``, or
+    strings holding a lone surrogate, which have no UTF-8 form).
     """
     try:
+        if type(key) is str:
+            return encode_basestring(key).encode("utf-8")
         return json.dumps(
             key, separators=(",", ":"), sort_keys=True, ensure_ascii=False
         ).encode("utf-8")
@@ -86,7 +95,12 @@ def key_digest(key: Hashable) -> int:
     encoding (safe even for ``1`` vs ``True``, whose encodings differ):
     a simulation's sites all write the same few keys, so across a
     thousand stores each key's digest is computed once, not once per
-    site per mutation.
+    site per mutation.  The encoding itself is not memoized; for a
+    ``str`` key it is one ``encode_basestring`` call (see
+    :func:`encode_key`).  A :class:`~repro.core.store.ReplicaStore`
+    keeps the digest it computes for a new or dropped key until its next
+    checksum fold, so the fold does not call this function again for
+    that key.
     """
     return _encoded_key_digest(encode_key(key))
 

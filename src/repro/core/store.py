@@ -121,7 +121,13 @@ class ReplicaStore:
         # checksum read.  Most simulation mutations are never followed
         # by a checksum read before the next overwrite, and a key
         # rewritten while dirty costs one delta, not one per write.
+        # Beside it, the key digests that mutations of new or dropped
+        # keys already computed for the bucket, so the fold does not
+        # compute them again.  A separate dict, not a (pre-image,
+        # digest) tuple: a tuple per write would be one more object for
+        # the cyclic garbage collector to track until the fold.
         self._dirty: Dict[Hashable, Entry | None] = {}
+        self._dirty_digests: Dict[Hashable, int] = {}
         self._tree.set_refresh_hook(self._flush_checksums)
         # bucket -> keys currently in it; buckets vanish when emptied so
         # a small store never pays for the full bucket range.
@@ -442,7 +448,8 @@ class ReplicaStore:
         if key not in self._dirty:
             self._dirty[key] = old
         if old is None:
-            bucket = self._tree.bucket_of(key_digest(key))
+            kd = self._dirty_digests[key] = key_digest(key)
+            bucket = self._tree.bucket_of(kd)
             self._bucket_keys.setdefault(bucket, set()).add(key)
         self._entries[key] = entry
         self._index.set(key, entry.timestamp)
@@ -451,7 +458,8 @@ class ReplicaStore:
         entry = self._entries.pop(key)
         if key not in self._dirty:
             self._dirty[key] = entry
-        bucket = self._tree.bucket_of(key_digest(key))
+        kd = self._dirty_digests[key] = key_digest(key)
+        bucket = self._tree.bucket_of(kd)
         keys = self._bucket_keys.get(bucket)
         if keys is not None:
             keys.discard(key)
@@ -465,18 +473,22 @@ class ReplicaStore:
         Runs as the tree's refresh hook, i.e. on the first checksum
         read after a mutation.  Each dirty key contributes one delta —
         old digest XOR current digest — so intermediate states of a
-        multiply-rewritten key cancel without ever being hashed.
+        multiply-rewritten key cancel without ever being hashed.  A key
+        digest a mutation recorded is reused, not recomputed.
         """
         if not self._dirty:
             return
         dirty, self._dirty = self._dirty, {}
+        digests, self._dirty_digests = self._dirty_digests, {}
         entries = self._entries
         tree = self._tree
         for key, old in dirty.items():
             current = entries.get(key)
             if current is old:
                 continue
-            kd = key_digest(key)
+            kd = digests.get(key)
+            if kd is None:
+                kd = key_digest(key)
             delta = 0
             if old is not None:
                 delta ^= entry_digest_with(kd, old.encode())

@@ -4,8 +4,11 @@ The *peel back* variant of anti-entropy exchanges updates in reverse
 timestamp order until checksum agreement, which requires each site to
 "maintain an inverted index of its database by timestamp".  The paper
 notes this index is the scheme's main cost; here it is a compact sorted
-list with lazy deletion so that maintenance stays O(log n) amortized per
-update.
+list with lazy deletion.  A timestamp newer than every pair already in
+the list — the usual case for a local write, since a site's clock only
+moves forward — costs an amortized O(1) append.  Any other timestamp, such as the
+entries an exchange delivers in bucket order, costs an ``insort``:
+O(log n) comparisons plus an O(n) memmove.
 
 The index maps each key to its *current* entry timestamp.  Stale pairs
 (left behind when a key is overwritten or dropped) are skipped during
@@ -49,7 +52,14 @@ class TimestampIndex:
                 return
             self._stale += 1
         self._current[key] = timestamp
-        bisect.insort(self._pairs, (timestamp, _OrderedKey(key)))
+        pairs = self._pairs
+        pair = (timestamp, _OrderedKey(key))
+        if not pairs or pairs[-1][0] < timestamp:
+            # Sorts strictly after every pair: exactly where insort
+            # would put it, without its ~log n pair comparisons.
+            pairs.append(pair)
+        else:
+            bisect.insort(pairs, pair)
         self._maybe_compact()
 
     def discard(self, key: Hashable) -> None:
